@@ -8,7 +8,7 @@ minimax separable resource-allocation optimizer, exploration decay,
 function clustering — plus the streaming dataplane substrate (splitter,
 bounded connections, worker PEs, ordered merger, host capacity model) the
 paper evaluates on, here as a deterministic discrete-event simulator and a
-real-socket transport.
+supervised multi-process backend that measures blocking on real sockets.
 
 Quick start::
 

@@ -9,8 +9,9 @@ Two implementations share that contract:
 
 * :class:`SimulatedConnection` — deterministic, used by every experiment;
 * :mod:`repro.net.socket_transport` — real OS sockets driven exactly as the
-  paper describes (non-blocking send, then ``select`` and measure), used in
-  integration tests and the ``real_sockets`` example.
+  paper describes (``MSG_DONTWAIT`` send, then ``select`` and measure),
+  the send path of the multi-process backend (:mod:`repro.proc`), whose
+  wire format is :mod:`repro.net.framing`.
 """
 
 from repro.net.blocking import BlockingCounter

@@ -17,8 +17,8 @@ laid out as columns (the :class:`~repro.streams.tuples.TupleBlock`
 idiom taken to the wire) — a base sequence number plus contiguous
 seq-delta / cost / body-length columns and the concatenated bodies,
 packed with a handful of ``struct`` calls and zero pickling. One frame
-per run collapses the per-tuple header + ``sendall`` overhead that
-made the unbatched process backend scale negatively, and the single
+per run collapses the per-tuple header + send overhead that made the
+unbatched process backend scale negatively, and the single
 cumulative ``RESULT_BATCH`` per serviced run halves the frame count
 again versus one ack per tuple. ``DATA``/``RESULT`` remain the
 ``batch_size=1`` wire format, byte-identical to the pre-batching
@@ -141,29 +141,29 @@ class Message:
 
     def hello(self) -> tuple[int, int]:
         """``(worker_id, incarnation)`` of a HELLO."""
-        return _HELLO.unpack(self.payload)
+        return _unpack(_HELLO, self.payload)
 
     def data(self) -> tuple[int, float, bytes]:
         """``(seq, cost_seconds, body)`` of a DATA."""
-        seq, cost = _DATA.unpack_from(self.payload)
+        seq, cost = _unpack(_DATA, self.payload, prefix=True)
         return seq, cost, self.payload[_DATA.size:]
 
     def result(self) -> tuple[int, float, bytes]:
         """``(seq, service_seconds, body)`` of a RESULT."""
-        seq, service = _RESULT.unpack_from(self.payload)
+        seq, service = _unpack(_RESULT, self.payload, prefix=True)
         return seq, service, self.payload[_RESULT.size:]
 
     def heartbeat(self) -> tuple[int, int]:
         """``(processed_total, incarnation)`` of a HEARTBEAT."""
-        return _HEARTBEAT.unpack(self.payload)
+        return _unpack(_HEARTBEAT, self.payload)
 
     def control(self) -> float:
         """The service-time multiplier of a CONTROL."""
-        return _CONTROL.unpack(self.payload)[0]
+        return _unpack(_CONTROL, self.payload)[0]
 
     def bye(self) -> int:
         """The final processed count of a BYE."""
-        return _BYE.unpack(self.payload)[0]
+        return _unpack(_BYE, self.payload)[0]
 
     def data_batch(self) -> list[tuple[int, float, bytes]]:
         """``[(seq, cost_seconds, body), ...]`` of a DATA_BATCH."""
@@ -172,6 +172,24 @@ class Message:
     def result_batch(self) -> list[tuple[int, float, bytes]]:
         """``[(seq, service_seconds, body), ...]`` of a RESULT_BATCH."""
         return _decode_batch(self.payload)
+
+
+def _unpack(
+    layout: struct.Struct, payload: bytes, *, prefix: bool = False
+) -> tuple:
+    """Unpack a fixed layout: the whole payload, or just its prefix.
+
+    A payload of the wrong size is a corrupt frame, reported as
+    :class:`TruncatedStreamError` like every other decode failure.
+    """
+    try:
+        if prefix:
+            return layout.unpack_from(payload)
+        return layout.unpack(payload)
+    except struct.error as exc:
+        raise TruncatedStreamError(
+            f"malformed payload of {len(payload)} bytes: {exc}"
+        ) from None
 
 
 def encode(type: int, payload: bytes = b"") -> bytes:
@@ -297,12 +315,12 @@ def encode_result_batch(
 class MessageAssembler:
     """Reassembles typed messages from arbitrary received chunks.
 
-    Like the fixed-size :class:`~repro.net.socket_transport._FrameAssembler`
-    this consumes every complete message per feed and keeps only the
+    The one stream assembler: both ends of the process dataplane use it.
+    Each feed consumes every complete message and keeps only the
     sub-message leftover buffered, so bytes copied stay linear in bytes
-    received. Unlike it, frames here are variable-length (header-prefixed),
-    and the assembler validates headers as it goes: an unknown type byte or
-    an absurd length means the stream desynchronized, which raises
+    received. Frames are variable-length (header-prefixed), and the
+    assembler validates headers as it goes: an unknown type byte or an
+    absurd length means the stream desynchronized, which raises
     :class:`TruncatedStreamError` immediately rather than waiting forever
     for a frame that will never complete.
     """

@@ -1,10 +1,12 @@
-"""Real-socket transport: the paper's blocking measurement on OS sockets.
+"""Real-socket send path: the paper's blocking measurement on OS sockets.
 
 Section 3 of the paper measures blocking like this: each tuple send is
 attempted with ``MSG_DONTWAIT``; if the kernel reports it would block, the
 sender issues ``select`` on that socket and records how long it waited.
-:class:`BlockingSocketSender` implements exactly that syscall sequence on a
-real non-blocking stream socket.
+:class:`BlockingSocketSender` implements exactly that syscall sequence,
+and the process backend (:mod:`repro.proc.region`) ships every
+parent-to-worker frame through it, so its balancer sees real socket
+backpressure.
 
 One substitution (documented in DESIGN.md): Linux ``select`` writes the
 *remaining* time into its timeout argument, which the paper reads to get
@@ -12,39 +14,32 @@ the blocked duration. Python's ``select.select`` does not expose the
 mutated struct, so we time the call with ``time.monotonic()`` — the same
 quantity, measured one layer up.
 
-:class:`SocketMiniRegion` is a miniature parallel region over OS socket
-pairs with thread workers: enough dataplane to demonstrate that the
-measured blocking rates reflect worker capacity on a real kernel, used by
-the integration tests and the ``real_sockets`` example. The deterministic
-experiments all run on the simulator.
+The socket itself stays in blocking mode. The process backend's receiver
+thread does blocking ``recv`` on the same socket, and flipping the socket
+to non-blocking would make that ``recv`` raise ``BlockingIOError``; the
+sender passes ``MSG_DONTWAIT`` on every ``send`` instead, which makes
+just that one call non-blocking.
 """
 
 from __future__ import annotations
 
-import os
-import random
 import select
 import socket
-import threading
 import time
-from collections.abc import Callable, Sequence
 
 from repro.net.blocking import BlockingCounter
-from repro.streams.splitter import RegionStalledError
 from repro.util.validation import check_positive
 
-#: MSG_DONTWAIT is Linux-specific; with a non-blocking socket the flag is
-#: belt-and-braces, so fall back to 0 elsewhere.
+#: MSG_DONTWAIT is Linux-specific. Elsewhere the flag is 0 and a send on
+#: a blocking socket simply blocks, unmeasured.
 _DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
 
-#: ``sendmsg`` rejects more than IOV_MAX buffers per call with EMSGSIZE,
-#: which would be misread as a dead peer; cap each scatter-gather call.
-try:
-    _IOV_MAX = os.sysconf("SC_IOV_MAX")
-    if _IOV_MAX <= 0:  # pragma: no cover - "indeterminate" sysconf result
-        _IOV_MAX = 1024
-except (AttributeError, OSError, ValueError):  # pragma: no cover
-    _IOV_MAX = 1024  # the Linux value; POSIX guarantees at least 16
+#: The blocked wait polls ``select`` with a timeout that doubles from
+#: ``_POLL_START`` up to ``_POLL_MAX`` seconds. Closing a socket from
+#: another thread does not wake a ``select`` already sleeping on it, so
+#: ``_POLL_MAX`` bounds how long a closed socket goes unnoticed.
+_POLL_START = 0.005
+_POLL_MAX = 0.25
 
 
 class PeerDeadError(ConnectionError):
@@ -55,149 +50,40 @@ class SendTimeoutError(TimeoutError):
     """A send did not become possible within the sender's ``send_timeout``."""
 
 
-def connect_with_backoff(
-    connect: Callable[[], socket.socket],
-    *,
-    deadline: float = 5.0,
-    backoff_start: float = 0.02,
-    backoff_max: float = 0.5,
-    jitter: float = 0.5,
-    rng: random.Random | None = None,
-) -> socket.socket:
-    """Call ``connect`` until it succeeds or ``deadline`` seconds elapse.
-
-    A restarting worker races its own listener: the supervisor may dial
-    before the fresh process has bound its socket, and the very first
-    attempt gets ``ECONNREFUSED``. One refused dial is not a dead peer —
-    this helper retries with jittered exponential backoff (full jitter on
-    ``jitter`` of each sleep, so a fleet of reconnecting senders does not
-    dial in lockstep) and only raises :class:`PeerDeadError` once the
-    total ``deadline`` is spent.
-
-    ``connect`` is any zero-argument callable returning a connected
-    socket — typically ``lambda: socket.create_connection(addr)``.
-    """
-    check_positive("deadline", deadline)
-    check_positive("backoff_start", backoff_start)
-    check_positive("backoff_max", backoff_max)
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-    rng = rng if rng is not None else random.Random()
-    started = time.monotonic()
-    give_up = started + deadline
-    pause = backoff_start
-    attempts = 0
-    last: OSError | None = None
-    while True:
-        attempts += 1
-        try:
-            return connect()
-        except OSError as exc:
-            last = exc
-        remaining = give_up - time.monotonic()
-        if remaining <= 0:
-            raise PeerDeadError(
-                f"could not connect within {deadline:g}s "
-                f"({attempts} attempts; last error: {last})"
-            ) from last
-        # Full jitter on the tail of the pause: sleep in
-        # [pause*(1-jitter), pause], capped by the remaining budget.
-        sleep = pause - (pause * jitter * rng.random())
-        time.sleep(min(sleep, remaining))
-        pause = min(pause * 2.0, backoff_max)
-
-
 class BlockingSocketSender:
-    """Send frames on a non-blocking socket, recording blocking time.
+    """Send frames on a stream socket, recording blocking time.
 
     The blocked wait is a **bounded** ``select`` loop: each poll has a
-    timeout (growing exponentially from ``poll_start`` to ``poll_max``)
-    and watches the exceptional set as well as writability, so a dead or
-    errored peer raises :exc:`PeerDeadError` instead of parking the
-    sender in one unbounded syscall forever. An optional ``send_timeout``
-    bounds the whole wait, raising :exc:`SendTimeoutError` — the caller
-    (a splitter's recovery layer) can then fail the channel over. After a
-    failure, :meth:`replace_socket` resumes sending on a fresh socket
-    without losing the cumulative blocking measurement.
+    timeout and watches the exceptional set as well as writability, so a
+    dead peer, or a socket closed under the sender, raises
+    :exc:`PeerDeadError` instead of parking the sender in one unbounded
+    syscall. An optional ``send_timeout`` bounds the whole wait, raising
+    :exc:`SendTimeoutError`. Both are ``OSError`` subclasses, so a caller
+    can treat any failed send as one failure.
     """
 
     def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        send_timeout: float | None = None,
-        poll_start: float = 0.005,
-        poll_max: float = 0.25,
+        self, sock: socket.socket, *, send_timeout: float | None = None
     ) -> None:
-        check_positive("poll_start", poll_start)
-        check_positive("poll_max", poll_max)
         if send_timeout is not None:
             check_positive("send_timeout", send_timeout)
-        sock.setblocking(False)
         self.sock = sock
         #: Overall bound on one blocked wait (None waits indefinitely,
         #: still in bounded polls so peer death is noticed between them).
         self.send_timeout = send_timeout
-        self.poll_start = float(poll_start)
-        self.poll_max = float(poll_max)
         #: Cumulative blocking time, exactly as the data transport layer
         #: of the paper maintains it.
         self.blocking = BlockingCounter()
-        #: Frames fully sent.
-        self.frames_sent = 0
-
-    def replace_socket(self, sock: socket.socket) -> None:
-        """Resume on a fresh socket (reconnect after a peer death).
-
-        The old socket is closed; blocking counters and the frame count
-        carry over — the measurement outlives the transport instance.
-        """
-        old = self.sock
-        sock.setblocking(False)
-        self.sock = sock
-        try:
-            old.close()
-        except OSError:
-            pass
-
-    def reconnect(
-        self,
-        connect: Callable[[], socket.socket],
-        *,
-        deadline: float = 5.0,
-        backoff_start: float = 0.02,
-        backoff_max: float = 0.5,
-        jitter: float = 0.5,
-        rng: random.Random | None = None,
-    ) -> None:
-        """Re-establish the transport on a freshly dialed socket.
-
-        :func:`connect_with_backoff` tolerates the restarting-listener
-        race (``ECONNREFUSED`` on early dials) instead of failing on the
-        first refused attempt; the winning socket is installed with
-        :meth:`replace_socket`, so counters and frame counts carry over.
-        Raises :class:`PeerDeadError` when the deadline is spent.
-        """
-        self.replace_socket(
-            connect_with_backoff(
-                connect,
-                deadline=deadline,
-                backoff_start=backoff_start,
-                backoff_max=backoff_max,
-                jitter=jitter,
-                rng=rng,
-            )
-        )
 
     def try_send(self, frame: bytes) -> bool:
         """One non-blocking attempt; ``False`` means it would block.
 
-        Partial sends are completed with further non-blocking attempts
-        (blocking for the remainder if needed) so frames never interleave.
+        Once the kernel takes part of the frame, the remainder is
+        completed (blocking for it if needed) so frames never interleave.
         """
         try:
             sent = self.sock.send(frame, _DONTWAIT)
-        except (BlockingIOError, InterruptedError):
+        except BlockingIOError:
             return False
         except OSError as exc:
             raise PeerDeadError(f"peer is gone: {exc}") from exc
@@ -209,78 +95,46 @@ class BlockingSocketSender:
         if self.try_send(frame):
             return
         self._wait_writable()
-        # After select reports writability a send can still be partial (or
-        # in rare cases fail again); loop until the frame is out.
         self._finish(frame, 0)
 
-    def send_batch(self, frames: Sequence[bytes]) -> None:
-        """Send several frames coalesced into scatter-gather syscalls.
-
-        The batched dataplane's frame coalescing: the whole batch is
-        handed to the kernel with one ``sendmsg`` instead of one ``send``
-        per frame, and partial sends are completed with ``memoryview``
-        slices — no intermediate concatenation, no per-frame ``bytes``
-        copies. Blocking mid-batch is timed exactly like :meth:`send`
-        (the batch is one elect-to-block episode, not ``len(frames)``).
-        Falls back to per-frame sends where ``sendmsg`` is unavailable.
-        """
-        if not frames:
-            return
-        sendmsg = getattr(self.sock, "sendmsg", None)
-        if sendmsg is None:  # pragma: no cover - non-POSIX fallback
-            for frame in frames:
-                self.send(frame)
-            return
-        views = [memoryview(frame) for frame in frames]
-        n = len(views)
-        idx = 0
-        while idx < n:
-            try:
-                sent = self.sock.sendmsg(views[idx : idx + _IOV_MAX])
-            except (BlockingIOError, InterruptedError):
-                self._wait_writable()
-                continue
-            except OSError as exc:
-                raise PeerDeadError(f"peer is gone: {exc}") from exc
-            while idx < n and sent >= len(views[idx]):
-                sent -= len(views[idx])
-                idx += 1
-            if sent and idx < n:
-                views[idx] = views[idx][sent:]
-        self.frames_sent += n
-
     def _finish(self, frame: bytes, sent: int) -> None:
-        offset = sent
-        while offset < len(frame):
+        # After select reports writability a send can still be partial
+        # (or would block again); loop until the frame is out.
+        view = memoryview(frame)[sent:]
+        while view:
             try:
-                offset += self.sock.send(frame[offset:], _DONTWAIT)
-            except (BlockingIOError, InterruptedError):
+                view = view[self.sock.send(view, _DONTWAIT):]
+            except BlockingIOError:
                 self._wait_writable()
             except OSError as exc:
                 raise PeerDeadError(f"peer is gone: {exc}") from exc
-        self.frames_sent += 1
 
     def _wait_writable(self) -> None:
         """Wait until the socket is writable, timing the blocked interval.
 
-        Bounded polls with exponential backoff replace the previous
-        unbounded ``select.select([], [sock], [])``, and the exceptional
-        set is no longer ignored: a socket error raises instead of
-        reporting a write that would fail.
+        The interval is charged to :attr:`blocking` however the wait
+        ends: writable, timed out, or failed.
         """
         started = time.monotonic()
         deadline = (
             None if self.send_timeout is None else started + self.send_timeout
         )
-        poll = self.poll_start
+        poll = _POLL_START
         try:
             while True:
                 timeout = poll
                 if deadline is not None:
                     timeout = min(poll, max(0.0, deadline - time.monotonic()))
-                _, writable, exceptional = select.select(
-                    [], [self.sock], [self.sock], timeout
-                )
+                try:
+                    _, writable, exceptional = select.select(
+                        [], [self.sock], [self.sock], timeout
+                    )
+                except (OSError, ValueError) as exc:
+                    # A socket closed under us has fileno() == -1, which
+                    # select rejects with ValueError, not OSError.
+                    raise PeerDeadError(
+                        f"socket closed while blocked: {exc}"
+                    ) from exc
                 if exceptional:
                     raise PeerDeadError(
                         "socket entered an exceptional state while blocked"
@@ -291,263 +145,6 @@ class BlockingSocketSender:
                     raise SendTimeoutError(
                         f"send not possible within {self.send_timeout:g}s"
                     )
-                poll = min(poll * 2.0, self.poll_max)
+                poll = min(poll * 2.0, _POLL_MAX)
         finally:
             self.blocking.add(time.monotonic() - started)
-
-
-class _FrameAssembler:
-    """Reassembles fixed-size frames from a stream of received chunks.
-
-    The previous receive loop sliced ``buffer = buffer[frame_size:]`` once
-    per frame, copying the whole remaining tail each time — quadratic in
-    the frames delivered per chunk (a 64 KiB recv of 512-byte frames
-    copied ~4 MB to consume 64 KiB). The assembler instead consumes every
-    whole frame in one arithmetic step and compacts the sub-frame leftover
-    once per chunk, so bytes copied stay linear in bytes received.
-    ``bytes_copied`` counts compaction copies for the regression test.
-    """
-
-    def __init__(self, frame_size: int) -> None:
-        check_positive("frame_size", frame_size)
-        self.frame_size = int(frame_size)
-        #: Whole frames consumed so far.
-        self.frames = 0
-        #: Bytes moved by buffer compaction (always < frame_size per feed).
-        self.bytes_copied = 0
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> int:
-        """Absorb ``chunk``; return how many whole frames it completed."""
-        buffer = self._buffer
-        buffer += chunk
-        frames = len(buffer) // self.frame_size
-        if frames:
-            del buffer[: frames * self.frame_size]
-            self.bytes_copied += len(buffer)
-            self.frames += frames
-        return frames
-
-    def eof(self) -> None:
-        """Declare the stream ended; raises if a partial frame remains.
-
-        A clean shutdown lands on a frame boundary; EOF mid-frame means
-        the peer died while writing and the tail can never complete. The
-        caller gets a :class:`~repro.net.framing.TruncatedStreamError`
-        naming the stranded bytes — never a silently dropped partial
-        tuple.
-        """
-        if self._buffer:
-            from repro.net.framing import TruncatedStreamError
-
-            raise TruncatedStreamError(
-                f"stream ended mid-frame with {len(self._buffer)} of "
-                f"{self.frame_size} bytes after {self.frames} whole frames"
-            )
-
-
-class _SocketWorker(threading.Thread):
-    """Reads fixed-size frames and simulates per-tuple processing cost."""
-
-    def __init__(
-        self, sock: socket.socket, frame_size: int, service_time: float
-    ) -> None:
-        super().__init__(daemon=True)
-        self.sock = sock
-        self.frame_size = frame_size
-        self.service_time = service_time
-        self.assembler = _FrameAssembler(frame_size)
-        self.processed = 0
-        self._failure: BaseException | None = None
-
-    def run(self) -> None:  # pragma: no cover - exercised via integration
-        try:
-            assembler = self.assembler
-            while True:
-                chunk = self.sock.recv(65536)
-                if not chunk:
-                    return
-                for _ in range(assembler.feed(chunk)):
-                    if self.service_time > 0:
-                        time.sleep(self.service_time)
-                    self.processed += 1
-        except OSError:
-            return
-        except BaseException as exc:  # noqa: BLE001 - surfaced via join
-            self._failure = exc
-
-
-class SocketMiniRegion:
-    """A tiny real-socket parallel region: one sender, N thread workers.
-
-    ``service_times`` gives each worker's simulated per-tuple cost. Socket
-    buffers are shrunk so backpressure (and therefore measurable blocking)
-    appears after a handful of frames, like the paper's two-system-buffer
-    pipeline.
-    """
-
-    def __init__(
-        self,
-        service_times: Sequence[float],
-        *,
-        frame_size: int = 512,
-        buffer_bytes: int = 4096,
-        send_timeout: float | None = None,
-        join_timeout: float = 5.0,
-    ) -> None:
-        if not service_times:
-            raise ValueError("need at least one worker")
-        check_positive("frame_size", frame_size)
-        check_positive("buffer_bytes", buffer_bytes)
-        check_positive("join_timeout", join_timeout)
-        self.frame_size = frame_size
-        self.frame = b"x" * frame_size
-        self.join_timeout = float(join_timeout)
-        self.senders: list[BlockingSocketSender] = []
-        self.workers: list[_SocketWorker] = []
-        self._closed = False
-        for service in service_times:
-            left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-            for sock in (left, right):
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer_bytes)
-            self.senders.append(
-                BlockingSocketSender(left, send_timeout=send_timeout)
-            )
-            worker = _SocketWorker(right, frame_size, service)
-            worker.start()
-            self.workers.append(worker)
-
-    @property
-    def blocking_counters(self) -> list[BlockingCounter]:
-        """Per-connection cumulative blocking counters."""
-        return [sender.blocking for sender in self.senders]
-
-    def attach_observability(self, hub) -> None:
-        """Register per-sender transport instruments on ``hub``.
-
-        The one component whose observations are wall-clock, not
-        sim-clock: blocking here is measured with ``time.monotonic``
-        around real ``select`` waits, so these gauges are the only
-        non-deterministic values an observed run can export.
-        """
-        registry = hub.registry
-        for j, sender in enumerate(self.senders):
-            registry.gauge_fn(
-                "socket_frames_sent_total",
-                (lambda s: lambda: s.frames_sent)(sender),
-                help="Frames pushed into the socket",
-                connection=str(j),
-            )
-            registry.gauge_fn(
-                "socket_blocking_seconds_total",
-                (lambda s: lambda: s.blocking.lifetime_seconds)(sender),
-                help="Wall-clock seconds blocked in select (monotonic)",
-                connection=str(j),
-            )
-            registry.gauge_fn(
-                "socket_blocking_episodes_total",
-                (lambda s: lambda: s.blocking.lifetime_episodes)(sender),
-                help="Blocking episodes on the socket",
-                connection=str(j),
-            )
-
-    def send_weighted(
-        self,
-        n_frames: int,
-        weights: Sequence[int],
-        *,
-        batch_size: int = 1,
-    ) -> None:
-        """Send ``n_frames`` frames distributed by weight.
-
-        ``batch_size=1`` routes each frame with smooth weighted RR and one
-        ``send`` per frame (the paper-faithful path). Larger values
-        apportion each batch with one policy call and coalesce each
-        connection's share into a single scatter-gather
-        :meth:`~BlockingSocketSender.send_batch`.
-        """
-        from repro.core.policies import WeightedPolicy
-
-        check_positive("batch_size", batch_size)
-        policy = WeightedPolicy(list(weights))
-        if batch_size == 1:
-            for _ in range(n_frames):
-                self.senders[policy.next_connection()].send(self.frame)
-            return
-        remaining = n_frames
-        while remaining > 0:
-            count = min(batch_size, remaining)
-            remaining -= count
-            for j, share in enumerate(policy.allocate_batch(count)):
-                if share:
-                    self.senders[j].send_batch([self.frame] * share)
-
-    def close(self) -> None:
-        """Shut the region down and join the workers. Idempotent.
-
-        A worker that fails to exit within ``join_timeout`` or that died
-        with an exception is an error, not a silent leak — and no worker
-        hides another: *every* stuck and dead worker is gathered before
-        anything is raised. A single dead worker re-raises its original
-        exception (full traceback preserved); any other combination
-        raises one aggregated
-        :class:`~repro.streams.splitter.RegionStalledError` listing all
-        stuck/dead workers. References to stuck worker threads are
-        dropped so they cannot pin their sockets (the threads are
-        daemons; the interpreter reaps them at exit). Sockets are closed
-        either way, and a second :meth:`close` is a no-op — failures
-        already reported once are not re-raised (the common
-        ``with``-block pattern closes once in the body on error and once
-        again in ``__exit__``).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for sender in self.senders:
-            try:
-                sender.sock.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-        stuck: list[int] = []
-        for index, worker in enumerate(self.workers):
-            worker.join(timeout=self.join_timeout)
-            if worker.is_alive():
-                stuck.append(index)
-        for sender in self.senders:
-            sender.sock.close()
-        for worker in self.workers:
-            worker.sock.close()
-        dead = [
-            (index, worker._failure)
-            for index, worker in enumerate(self.workers)
-            if worker._failure is not None
-        ]
-        if stuck:
-            # A stuck daemon thread must not keep the dead region (and
-            # its sockets) reachable through the workers list.
-            self.workers = [
-                w for i, w in enumerate(self.workers) if i not in set(stuck)
-            ]
-        if dead and not stuck and len(dead) == 1:
-            raise dead[0][1]
-        if stuck or dead:
-            problems = []
-            if stuck:
-                problems.append(
-                    f"workers {stuck} did not exit within "
-                    f"{self.join_timeout:g}s of shutdown"
-                )
-            problems += [
-                f"worker {index} died with {type(exc).__name__}: {exc}"
-                for index, exc in dead
-            ]
-            raise RegionStalledError(
-                "region shutdown failed: " + "; ".join(problems)
-            )
-
-    def __enter__(self) -> "SocketMiniRegion":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -30,7 +30,13 @@ Correctness invariants, in the order they matter:
    replay entries under the lock but performs the sends outside it;
    a send that fails simply funnels into the same death path. Batch
    flushes pop a whole outbox under the region lock and ship it with
-   one send-lock acquisition and one ``sendall`` outside it.
+   one send-lock acquisition and one frame send outside it.
+
+Every parent-to-worker frame goes through the slot's
+:class:`~repro.net.socket_transport.BlockingSocketSender`: the paper's
+``MSG_DONTWAIT`` attempt, then a timed ``select`` when the kernel would
+block. That socket wait is charged to the same per-slot blocking
+counter as a full window, so the balancer sees both signals.
 
 With ``batch_size=B > 1`` the splitter accumulates each worker's run in
 its slot outbox and flushes a single columnar ``DATA_BATCH`` frame when
@@ -54,7 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.net import framing
 from repro.net.blocking import BlockingCounter
-from repro.net.socket_transport import RegionStalledError
+from repro.net.socket_transport import BlockingSocketSender
 from repro.proc.supervisor import (
     UP,
     QUARANTINED,
@@ -62,6 +68,7 @@ from repro.proc.supervisor import (
     SupervisorConfig,
     WorkerSlot,
 )
+from repro.streams.splitter import RegionStalledError
 from repro.util.validation import check_positive
 
 
@@ -101,7 +108,7 @@ class ProcessRunStats:
     wire_bytes_sent: int = 0
     #: Wire frames read from worker sockets (results, acks, beats).
     wire_frames_received: int = 0
-    #: DATA/DATA_BATCH flushes performed (each is one ``sendall``).
+    #: DATA/DATA_BATCH flushes performed (each is one frame send).
     data_flushes: int = 0
     #: Mean tuples per data flush (1.0 exactly when ``batch_size=1``).
     mean_batch_occupancy: float = 0.0
@@ -200,7 +207,8 @@ class ProcessRegion:
             for j, m in enumerate(multipliers)
         ]
         #: The paper's per-connection cumulative blocking counters,
-        #: charged with real wall time the splitter spends blocked.
+        #: charged with real wall time the splitter spends blocked: on a
+        #: full window or in the sender's ``select``.
         self.block_counters = [BlockingCounter() for _ in range(n_workers)]
         # Routing weights: explicit override first, then balancer-solved,
         # then static speed-proportional (1/multiplier).
@@ -222,7 +230,9 @@ class ProcessRegion:
             self._route_weights = [w / total for w in inv]
         self._wrr = [0.0] * n_workers
         self._last_balance = 0.0
-        self._socks: list[socket.socket | None] = [None] * n_workers
+        self._senders: list[BlockingSocketSender | None] = (
+            [None] * n_workers
+        )
         self._send_locks = [threading.Lock() for _ in range(n_workers)]
         # Wire accounting, one cell per worker so each is only ever
         # touched under that worker's send lock (out) or by its single
@@ -316,7 +326,7 @@ class ProcessRegion:
                 ]
                 if live and all(
                     s.state == UP
-                    and self._socks[s.index] is not None
+                    and self._senders[s.index] is not None
                     for s in live
                 ):
                     return self
@@ -396,13 +406,13 @@ class ProcessRegion:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         with self._lock:
-            for j, sock in enumerate(self._socks):
-                if sock is not None:
+            for j, sender in enumerate(self._senders):
+                if sender is not None:
                     try:
-                        sock.close()
+                        sender.sock.close()
                     except OSError:  # pragma: no cover
                         pass
-                    self._socks[j] = None
+                    self._senders[j] = None
         for thread in self._recv_threads:
             thread.join(timeout=5.0)
         return list(self._escalated)
@@ -509,7 +519,7 @@ class ProcessRegion:
         )
         self._blocking_hist = registry.histogram(
             "process_region_block_seconds",
-            help="Splitter blocking episode durations",
+            help="Splitter blocking episodes: full window or socket wait",
         )
         registry.gauge_fn(
             "process_region_wire_frames_sent_total",
@@ -529,7 +539,7 @@ class ProcessRegion:
         registry.gauge_fn(
             "process_region_data_flushes_total",
             lambda: sum(self._data_flushes),
-            help="DATA/DATA_BATCH flushes (one sendall each)",
+            help="DATA/DATA_BATCH flushes (one frame send each)",
         )
         self._occupancy_hist = registry.histogram(
             "process_region_batch_occupancy",
@@ -548,8 +558,8 @@ class ProcessRegion:
         on the slot's next incarnation.
         """
         with self._cv:
-            sock = self._socks[slot.index]
-            self._socks[slot.index] = None
+            sender = self._senders[slot.index]
+            self._senders[slot.index] = None
             entries = sorted(slot.unacked.items())
             slot.unacked.clear()
             slot.outbox = []
@@ -557,9 +567,9 @@ class ProcessRegion:
                 self._owner.pop(seq, None)
             self._replayed += len(entries)
             self._cv.notify_all()
-        if sock is not None:
+        if sender is not None:
             try:
-                sock.close()
+                sender.sock.close()
             except OSError:  # pragma: no cover
                 pass
         if self._closing:
@@ -620,7 +630,7 @@ class ProcessRegion:
         """
         eligible = [
             s for s in self.slots
-            if s.state == UP and self._socks[s.index] is not None
+            if s.state == UP and self._senders[s.index] is not None
         ]
         if not eligible:
             return None, None
@@ -686,7 +696,9 @@ class ProcessRegion:
                         return None
                 if slot is not None:
                     if block_started is not None:
-                        self._charge_block(block_started, block_slot)
+                        self._charge_block(
+                            block_slot, time.monotonic() - block_started
+                        )
                         block_started = None
                     slot.unacked[seq] = (cost, body)
                     self._owner[seq] = slot.index
@@ -698,13 +710,17 @@ class ProcessRegion:
                 if blocked_on is not None:
                     if block_started is None or block_slot != blocked_on:
                         if block_started is not None:
-                            self._charge_block(block_started, block_slot)
+                            self._charge_block(
+                                block_slot, time.monotonic() - block_started
+                            )
                         block_started = time.monotonic()
                         block_slot = blocked_on
                 elif block_started is not None:
                     # An outage (no serving slot) is downtime, not
                     # backpressure: close the blocking episode.
-                    self._charge_block(block_started, block_slot)
+                    self._charge_block(
+                        block_slot, time.monotonic() - block_started
+                    )
                     block_started = None
                 if time.monotonic() > stall_deadline:
                     raise RegionStalledError(
@@ -748,7 +764,7 @@ class ProcessRegion:
         incarnation: int,
         entries: list[tuple[int, float, bytes]],
     ) -> None:
-        """One flush: one frame, one send lock, one ``sendall``.
+        """One flush: one frame, one send lock, one frame send.
 
         A failed send is a death; the failover replays everything it
         finds in ``unacked``. Entries it did *not* see (we registered
@@ -783,11 +799,8 @@ class ProcessRegion:
             frame = framing.encode_data_batch(entries)
         return self._send_frame(index, frame, tuples=len(entries))
 
-    def _charge_block(self, started: float, slot_index: int | None) -> None:
-        """Close one splitter blocking episode (lock held)."""
-        duration = time.monotonic() - started
-        if slot_index is None:
-            return
+    def _charge_block(self, slot_index: int, duration: float) -> None:
+        """Record one splitter blocking episode on a slot (lock held)."""
         self.block_counters[slot_index].add(duration)
         if self._obs is not None:
             end = self.clock()
@@ -816,25 +829,38 @@ class ProcessRegion:
     def _send_frame(
         self, index: int, frame: bytes, tuples: int = 0
     ) -> bool:
-        """Ship one frame; ``tuples > 0`` marks it as a data flush."""
+        """Ship one frame; ``tuples > 0`` marks it as a data flush.
+
+        Returns ``False`` when the send failed: no connection, a dead
+        peer, a socket that failover closed mid-wait, or a wait longer
+        than ``send_stall_timeout``. Any time the sender spent blocked in
+        ``select`` is charged to the slot either way.
+        """
         with self._send_locks[index]:
-            sock = self._socks[index]
-            if sock is None:
+            sender = self._senders[index]
+            if sender is None:
                 return False
+            waited = sender.blocking.lifetime_seconds
             try:
-                sock.sendall(frame)
+                sender.send(frame)
             except OSError:
-                return False
-            # Wire accounting under the send lock: per-worker cells, so
-            # concurrent flushes to different workers never contend.
-            self._wire_frames_out[index] += 1
-            self._wire_bytes_out[index] += len(frame)
-            if tuples:
-                self._data_flushes[index] += 1
-                self._data_tuples_flushed[index] += tuples
-                if self._occupancy_hist is not None:
-                    self._occupancy_hist.observe(tuples)
-            return True
+                sent = False
+            else:
+                sent = True
+                # Wire accounting under the send lock: per-worker cells,
+                # so concurrent flushes to different workers never contend.
+                self._wire_frames_out[index] += 1
+                self._wire_bytes_out[index] += len(frame)
+                if tuples:
+                    self._data_flushes[index] += 1
+                    self._data_tuples_flushed[index] += tuples
+                    if self._occupancy_hist is not None:
+                        self._occupancy_hist.observe(tuples)
+            waited = sender.blocking.lifetime_seconds - waited
+        if waited:
+            with self._lock:
+                self._charge_block(index, waited)
+        return sent
 
     def _accept_loop(self) -> None:
         # The listener carries an accept timeout: closing a socket from
@@ -894,11 +920,13 @@ class ProcessRegion:
             ):
                 conn.close()
                 return
-            old = self._socks[worker_id]
-            self._socks[worker_id] = conn
+            old = self._senders[worker_id]
+            self._senders[worker_id] = BlockingSocketSender(
+                conn, send_timeout=self.send_stall_timeout
+            )
         if old is not None:  # pragma: no cover - stale socket leak guard
             try:
-                old.close()
+                old.sock.close()
             except OSError:
                 pass
         receiver = threading.Thread(
@@ -911,8 +939,9 @@ class ProcessRegion:
         receiver.start()
         if not self.supervisor.on_connected(worker_id, incarnation):
             with self._lock:
-                if self._socks[worker_id] is conn:
-                    self._socks[worker_id] = None
+                sender = self._senders[worker_id]
+                if sender is not None and sender.sock is conn:
+                    self._senders[worker_id] = None
             try:
                 conn.close()
             except OSError:  # pragma: no cover

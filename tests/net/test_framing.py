@@ -1,12 +1,11 @@
 """Unit tests for the typed message framing and torn-frame edges.
 
-Covers both assemblers: :class:`repro.net.framing.MessageAssembler`
-(variable-length typed messages, the process dataplane's wire format)
-and the fixed-size :class:`repro.net.socket_transport._FrameAssembler`.
-The torn-frame cases — EOF mid-header, EOF mid-payload, 1-byte-at-a-time
-feeds — must either yield exactly the frames that were sent or raise a
-clean truncated-stream error; silent tail loss is the bug these tests
-pin down.
+Covers :class:`repro.net.framing.MessageAssembler`, the one stream
+assembler (variable-length typed messages, the process dataplane's wire
+format). The torn-frame cases — EOF mid-header, EOF mid-payload,
+1-byte-at-a-time feeds — must either yield exactly the frames that were
+sent or raise a clean truncated-stream error; silent tail loss is the
+bug these tests pin down.
 """
 
 import struct
@@ -18,7 +17,6 @@ from repro.net.framing import (
     MessageAssembler,
     TruncatedStreamError,
 )
-from repro.net.socket_transport import _FrameAssembler
 
 
 def _all_messages() -> list[bytes]:
@@ -234,44 +232,56 @@ class TestBatchFrames:
 
 
 class TestFrameAssemblerTornFrames:
-    """The fixed-size assembler's torn-frame edges (satellite #3)."""
+    """Frame-level torn edges: where frames complete, what EOF strands."""
 
     def test_one_byte_at_a_time_yields_exact_frames(self):
-        assembler = _FrameAssembler(frame_size=8)
-        wire = b"ABCDEFGH" + b"12345678" + b"abcdefgh"
-        completed = [assembler.feed(wire[i:i + 1]) for i in range(len(wire))]
+        frames = [
+            framing.encode_eos(),
+            framing.encode_bye(8),
+            framing.encode_data(1, 0.5, b"abc"),
+        ]
+        wire = b"".join(frames)
+        assembler = MessageAssembler()
+        completed = [
+            len(assembler.feed(wire[i:i + 1])) for i in range(len(wire))
+        ]
         assert sum(completed) == 3
-        assert assembler.frames == 3
-        # Frames complete exactly on every 8th byte, never elsewhere.
-        assert [i for i, c in enumerate(completed) if c] == [7, 15, 23]
+        assert assembler.messages == 3
+        # Frames complete exactly on each frame's last byte, never
+        # elsewhere.
+        ends = [sum(len(f) for f in frames[:k + 1]) - 1 for k in range(3)]
+        assert [i for i, c in enumerate(completed) if c] == ends
         assembler.eof()  # clean boundary
 
     def test_eof_mid_frame_raises_with_counts(self):
-        assembler = _FrameAssembler(frame_size=8)
-        assembler.feed(b"ABCDEFGH" + b"123")
+        assembler = MessageAssembler()
+        assembler.feed(framing.encode_bye(1) + framing.encode_bye(2)[:3])
         with pytest.raises(
-            ConnectionError, match=r"3 of 8 bytes after 1 whole frames"
+            ConnectionError,
+            match=r"3 bytes stranded after 1 complete messages",
         ):
             assembler.eof()
 
     def test_eof_with_no_partial_bytes_is_clean(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assert assembler.feed(b"wxyz") == 1
+        assembler = MessageAssembler()
+        assert len(assembler.feed(framing.encode_control(2.0))) == 1
         assembler.eof()
 
     def test_eof_on_empty_stream_is_clean(self):
-        _FrameAssembler(frame_size=16).eof()
+        MessageAssembler().eof()
 
     def test_eof_one_byte_short_of_first_frame(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assembler.feed(b"abc")
+        frame = framing.encode_heartbeat(4, 1)
+        assembler = MessageAssembler()
+        assert assembler.feed(frame[:-1]) == []
         with pytest.raises(
-            ConnectionError, match="3 of 4 bytes after 0 whole frames"
+            ConnectionError,
+            match=f"{len(frame) - 1} bytes stranded after 0 complete",
         ):
             assembler.eof()
 
     def test_eof_error_is_a_truncated_stream_error(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assembler.feed(b"ab")
+        assembler = MessageAssembler()
+        assembler.feed(b"\x06\x00")
         with pytest.raises(TruncatedStreamError):
             assembler.eof()

@@ -1,10 +1,11 @@
-"""Integration tests for the real-socket transport.
+"""Integration tests for the real-socket sender.
 
 These exercise real OS sockets (AF_UNIX socket pairs) and kernel buffers;
 they are skipped automatically when the environment forbids sockets.
+The process backend's use of the sender is tested with real worker
+processes in ``tests/proc/test_send_path.py``.
 """
 
-import random
 import socket
 import threading
 import time
@@ -12,12 +13,10 @@ import time
 import pytest
 
 from repro.net.socket_transport import (
+    _POLL_MAX,
     BlockingSocketSender,
     PeerDeadError,
-    RegionStalledError,
     SendTimeoutError,
-    SocketMiniRegion,
-    connect_with_backoff,
 )
 
 
@@ -43,7 +42,7 @@ class TestBlockingSocketSender:
         try:
             sender = BlockingSocketSender(left)
             sender.send(b"x" * 64)
-            assert sender.frames_sent == 1
+            assert right.recv(128) == b"x" * 64
             assert sender.blocking.read() == 0.0
         finally:
             left.close()
@@ -149,21 +148,58 @@ class TestBoundedWait:
             right.close()
 
     def test_backoff_poll_interval_is_bounded(self):
-        sender = BlockingSocketSender(
-            socket.socket(socket.AF_UNIX, socket.SOCK_STREAM),
-            poll_start=0.001,
-            poll_max=0.02,
-        )
+        # A failover closes the socket while the sender sleeps in
+        # select. The live peer never reads, so the only way out of the
+        # wait is noticing the close, which must take at most about one
+        # bounded poll and surface as PeerDeadError.
+        left, right = _small_pair()
         try:
-            assert sender.poll_start == pytest.approx(0.001)
-            assert sender.poll_max == pytest.approx(0.02)
-            with pytest.raises(ValueError):
-                BlockingSocketSender(
-                    socket.socket(socket.AF_UNIX, socket.SOCK_STREAM),
-                    poll_start=0.0,
-                )
+            sender = BlockingSocketSender(left)
+            frame = b"x" * 1024
+            _fill(sender, frame)
+            closer = threading.Timer(0.1, left.close)
+            closer.start()
+            started = time.monotonic()
+            with pytest.raises(PeerDeadError):
+                sender.send(frame)
+            elapsed = time.monotonic() - started
+            closer.join()
+            assert elapsed < 0.1 + _POLL_MAX + 1.0
+            assert sender.blocking.lifetime_seconds >= 0.05
         finally:
-            sender.sock.close()
+            left.close()
+            right.close()
+
+    def test_wait_on_closed_socket_raises_peer_dead(self):
+        # A socket closed between two polls has fileno() == -1, which
+        # select rejects with ValueError; the sender must turn that into
+        # PeerDeadError so callers see one kind of failed send.
+        left, right = _small_pair()
+        try:
+            sender = BlockingSocketSender(left)
+            left.close()
+            with pytest.raises(PeerDeadError, match="closed while blocked"):
+                sender._wait_writable()
+            assert sender.blocking.lifetime_episodes == 1
+        finally:
+            right.close()
+
+    def test_socket_stays_in_blocking_mode(self):
+        # The process backend's receiver does blocking recv on the same
+        # socket, so the sender must never flip it to non-blocking:
+        # MSG_DONTWAIT makes only the send attempt non-blocking.
+        left, right = _small_pair()
+        try:
+            sender = BlockingSocketSender(left, send_timeout=0.05)
+            frame = b"x" * 1024
+            _fill(sender, frame)
+            with pytest.raises(SendTimeoutError):
+                sender.send(frame)
+            assert left.getblocking()
+            assert right.recv(16) == b"x" * 16
+        finally:
+            left.close()
+            right.close()
 
     def test_peer_close_raises_peer_dead(self):
         left, right = _small_pair()
@@ -179,239 +215,3 @@ class TestBoundedWait:
                     sender.send(frame)
         finally:
             left.close()
-
-    def test_reconnect_resumes_and_keeps_counters(self):
-        left, right = _small_pair()
-        sender = BlockingSocketSender(left)
-        sender.send(b"x" * 64)
-        frames_before = sender.frames_sent
-        right.close()
-        with pytest.raises(PeerDeadError):
-            for _ in range(100):
-                sender.send(b"x" * 64)
-        new_left, new_right = _small_pair()
-        try:
-            sender.replace_socket(new_left)
-            sender.send(b"y" * 64)
-            assert new_right.recv(64) == b"y" * 64
-            assert sender.frames_sent > frames_before
-        finally:
-            new_left.close()
-            new_right.close()
-
-
-class TestSocketMiniRegion:
-    def test_blocking_concentrates_on_slow_worker(self):
-        with SocketMiniRegion([0.0002, 0.004]) as region:
-            region.send_weighted(300, [500, 500])
-            blocked = [c.lifetime_seconds for c in region.blocking_counters]
-        assert blocked[1] > blocked[0]
-
-    def test_even_capacity_small_blocking(self):
-        with SocketMiniRegion([0.0002, 0.0002]) as region:
-            region.send_weighted(200, [500, 500])
-            total = sum(c.lifetime_seconds for c in region.blocking_counters)
-        # Workers keep up with the sender; blocking should be minimal.
-        assert total < 1.0
-
-    def test_rejects_empty_worker_list(self):
-        with pytest.raises(ValueError):
-            SocketMiniRegion([])
-
-    def test_close_reraises_worker_failure(self):
-        region = SocketMiniRegion([0.0001])
-        boom = ValueError("worker exploded")
-        region.workers[0]._failure = boom
-        with pytest.raises(ValueError, match="worker exploded"):
-            region.close()
-
-    def test_close_reports_stuck_worker(self):
-        import threading
-
-        region = SocketMiniRegion([0.0001], join_timeout=0.1)
-        # Replace worker 0 with a thread that ignores shutdown entirely.
-        stop = threading.Event()
-
-        class Stuck(threading.Thread):
-            def __init__(self, sock):
-                super().__init__(daemon=True)
-                self.sock = sock
-                self._failure = None
-
-            def run(self):
-                stop.wait(10.0)
-
-        stuck = Stuck(region.workers[0].sock)
-        stuck.start()
-        region.workers[0] = stuck
-        try:
-            with pytest.raises(RuntimeError, match="did not exit"):
-                region.close()
-        finally:
-            stop.set()
-
-
-class _IgnoreShutdown(threading.Thread):
-    """A stand-in worker that ignores shutdown until told to stop."""
-
-    def __init__(self, sock, stop: threading.Event):
-        super().__init__(daemon=True)
-        self.sock = sock
-        self._failure = None
-        self._stop = stop
-
-    def run(self):
-        self._stop.wait(10.0)
-
-
-class TestCloseAggregation:
-    """close() must gather *every* stuck/dead worker before raising."""
-
-    def test_all_stuck_workers_are_listed(self):
-        stop = threading.Event()
-        region = SocketMiniRegion([0.0001] * 3, join_timeout=0.1)
-        for index in (0, 2):
-            stuck = _IgnoreShutdown(region.workers[index].sock, stop)
-            stuck.start()
-            region.workers[index] = stuck
-        try:
-            with pytest.raises(
-                RegionStalledError, match=r"workers \[0, 2\] did not exit"
-            ):
-                region.close()
-        finally:
-            stop.set()
-
-    def test_stuck_and_dead_aggregate_into_one_error(self):
-        stop = threading.Event()
-        region = SocketMiniRegion([0.0001] * 3, join_timeout=0.1)
-        stuck = _IgnoreShutdown(region.workers[0].sock, stop)
-        stuck.start()
-        region.workers[0] = stuck
-        region.workers[2]._failure = ValueError("worker exploded")
-        try:
-            with pytest.raises(RegionStalledError) as excinfo:
-                region.close()
-        finally:
-            stop.set()
-        message = str(excinfo.value)
-        assert "workers [0] did not exit" in message
-        assert "worker 2 died with ValueError: worker exploded" in message
-
-    def test_multiple_dead_workers_all_named(self):
-        region = SocketMiniRegion([0.0001] * 3)
-        region.workers[0]._failure = ValueError("first")
-        region.workers[1]._failure = KeyError("second")
-        with pytest.raises(RegionStalledError) as excinfo:
-            region.close()
-        message = str(excinfo.value)
-        assert "worker 0 died with ValueError: first" in message
-        assert "worker 1 died with KeyError" in message
-
-    def test_second_close_is_a_noop_after_failure(self):
-        region = SocketMiniRegion([0.0001])
-        region.workers[0]._failure = ValueError("once")
-        with pytest.raises(ValueError):
-            region.close()
-        region.close()  # with-block double close: reported once, not twice
-
-
-class TestConnectWithBackoff:
-    def test_succeeds_once_listener_appears(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        # Not listening yet: the first dials get ECONNREFUSED.
-        accepted = []
-
-        def listen_late():
-            time.sleep(0.15)
-            listener.listen(1)
-            conn, _ = listener.accept()
-            accepted.append(conn)
-
-        helper = threading.Thread(target=listen_late, daemon=True)
-        helper.start()
-        sock = connect_with_backoff(
-            lambda: socket.create_connection(("127.0.0.1", port)),
-            deadline=5.0,
-            backoff_start=0.02,
-            rng=random.Random(7),
-        )
-        helper.join(timeout=5.0)
-        try:
-            assert accepted, "listener never accepted the dial"
-        finally:
-            sock.close()
-            for conn in accepted:
-                conn.close()
-            listener.close()
-
-    def test_deadline_exhaustion_raises_peer_dead(self):
-        # A bound-but-never-listening port refuses every dial.
-        blackhole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        blackhole.bind(("127.0.0.1", 0))
-        port = blackhole.getsockname()[1]
-        started = time.monotonic()
-        try:
-            with pytest.raises(
-                PeerDeadError, match="could not connect within 0.3s"
-            ):
-                connect_with_backoff(
-                    lambda: socket.create_connection(
-                        ("127.0.0.1", port), timeout=0.2
-                    ),
-                    deadline=0.3,
-                    backoff_start=0.01,
-                    backoff_max=0.05,
-                    rng=random.Random(7),
-                )
-        finally:
-            blackhole.close()
-        assert time.monotonic() - started < 5.0
-
-    def test_rejects_bad_jitter(self):
-        with pytest.raises(ValueError, match="jitter"):
-            connect_with_backoff(
-                lambda: (_ for _ in ()).throw(OSError()), jitter=1.5
-            )
-
-    def test_sender_reconnect_uses_backoff(self):
-        left, right = _small_pair()
-        sender = BlockingSocketSender(left)
-        sender.send(b"x" * 64)
-        frames_before = sender.frames_sent
-        right.close()
-        with pytest.raises(PeerDeadError):
-            for _ in range(100):
-                sender.send(b"x" * 64)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        accepted = []
-
-        def listen_late():
-            time.sleep(0.1)
-            listener.listen(1)
-            conn, _ = listener.accept()
-            accepted.append(conn)
-
-        helper = threading.Thread(target=listen_late, daemon=True)
-        helper.start()
-        try:
-            sender.reconnect(
-                lambda: socket.create_connection(("127.0.0.1", port)),
-                deadline=5.0,
-                rng=random.Random(3),
-            )
-            helper.join(timeout=5.0)
-            sender.send(b"y" * 64)
-            assert accepted[0].recv(64) == b"y" * 64
-            assert sender.frames_sent > frames_before
-        finally:
-            sender.sock.close()
-            for conn in accepted:
-                conn.close()
-            listener.close()

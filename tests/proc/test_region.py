@@ -52,7 +52,9 @@ def run_region(region, costs, *, bodies=None, timeout=30.0, schedule=None):
     driver = None
     outputs = None
     try:
-        region.start()
+        # Every worker connects before any fault can fire: a kill that
+        # lands on a worker still spawning finds nothing to replay.
+        region.start().wait_ready(timeout=30.0)
         if schedule is not None:
             driver = RealFaultDriver(region, poll_interval=0.002)
             schedule.arm_real(driver)
@@ -124,7 +126,7 @@ class TestKillRecovery:
         driver = RealFaultDriver(region, poll_interval=0.002)
         schedule.arm_real(driver)
         try:
-            region.start()
+            region.start().wait_ready(timeout=30.0)
             driver.start()
             # Submit + drain by hand (run() would close the region): the
             # region must stay open so the replacement incarnation can
@@ -369,7 +371,7 @@ class TestBatchedWire:
         try:
             region.start().wait_ready(timeout=30.0)
             assert all(s.state == UP for s in region.slots)
-            assert all(sock is not None for sock in region._socks)
+            assert all(sender is not None for sender in region._senders)
         finally:
             region.close()
 
@@ -391,9 +393,9 @@ class TestNodelay:
         region = ProcessRegion(2, supervisor_config=FAST, window=8)
         try:
             region.start().wait_ready(timeout=30.0)
-            for sock in region._socks:
-                assert sock is not None
-                assert sock.getsockopt(
+            for sender in region._senders:
+                assert sender is not None
+                assert sender.sock.getsockopt(
                     socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY
                 ) != 0
         finally:

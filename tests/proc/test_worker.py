@@ -33,7 +33,13 @@ class ParentStub:
             conn, _ = self.server.accept()
             conn.settimeout(5.0)
             try:
-                script(conn)
+                try:
+                    script(conn)
+                except OSError:
+                    # A worker that exits mid-script resets the stream
+                    # under our sends; its replies are still buffered
+                    # for the drain below.
+                    pass
                 assembler = framing.MessageAssembler()
                 while True:
                     try:
