@@ -121,7 +121,9 @@ def run_recovery() -> dict:
         driver = None
         t0 = time.perf_counter()
         try:
-            region.start()
+            # A kill armed before every worker connected can land on one
+            # that holds nothing to replay.
+            region.start().wait_ready(timeout=30.0)
             if kill:
                 driver = RealFaultDriver(region, poll_interval=0.002)
                 FaultSchedule.crash_after_emitted(

@@ -147,12 +147,14 @@ def run_process_experiment(
 
     total = config.total_tuples
     budget = timeout if timeout is not None else config.horizon()
-    wall_start = time.perf_counter()
     completed = False
-    region.start()
-    if driver is not None:
-        driver.start()
     try:
+        # Spawn and connect are warm-up, not run time, and a fault must
+        # not fire at a worker that never connected.
+        region.start().wait_ready(timeout=budget)
+        wall_start = time.perf_counter()
+        if driver is not None:
+            driver.start()
         for _ in range(total):
             region.submit(cost_seconds)
         region.drain(timeout=budget)

@@ -38,16 +38,21 @@ Every parent-to-worker frame goes through the slot's
 block. That socket wait is charged to the same per-slot blocking
 counter as a full window, so the balancer sees both signals.
 
-With ``batch_size=B > 1`` the splitter accumulates each worker's run in
-its slot outbox and flushes a single columnar ``DATA_BATCH`` frame when
-the run reaches ``B`` tuples — or earlier, whenever the splitter is
+The splitter routes in *runs*, contiguous sequence ranges sent to one
+worker: the smooth weighted round-robin choice is made once per run,
+and later tuples join the open run while its worker serves and has
+window room. With ``batch_size=B > 1`` the run accumulates in the slot
+outbox and flushes as one columnar ``DATA_BATCH`` frame at ``B`` tuples
+— or earlier, when the next run opens elsewhere or the splitter is
 about to block, drain, close, or finish a failover, so no tuple is ever
-stranded in a buffer the worker cannot see. ``batch_size=1`` keeps the
-original one-``DATA``-frame-per-tuple wire behavior byte for byte.
+stranded in a buffer the worker cannot see. At ``batch_size=1`` every
+run is one tuple: the original per-tuple choice and
+one-``DATA``-frame-per-tuple wire behavior, byte for byte.
 
 The ordered merger is a tiny reorder buffer keyed on the global
 sequence number; output order is submission order regardless of which
-worker (or which incarnation of which worker) serviced each tuple.
+worker (or which incarnation of which worker) serviced each tuple. A
+result batch is absorbed as one run, under one lock acquisition.
 """
 
 from __future__ import annotations
@@ -145,18 +150,21 @@ class _Reorderer:
         self.next_expected = 0
         self.pending: dict[int, bytes] = {}
 
-    def push(self, seq: int, body: bytes) -> list[tuple[int, bytes]]:
-        """Absorb one result; return everything now emittable, in order."""
-        if seq < self.next_expected or seq in self.pending:
-            return []  # defensive: the owner map should have deduped
-        self.pending[seq] = body
-        out: list[tuple[int, bytes]] = []
-        while self.next_expected in self.pending:
-            out.append(
-                (self.next_expected, self.pending.pop(self.next_expected))
-            )
-            self.next_expected += 1
-        return out
+    def push(self, seq: int, body: bytes, out: list) -> None:
+        """Absorb one result; append everything now emittable to ``out``."""
+        pending = self.pending
+        if seq == self.next_expected and not pending:
+            out.append((seq, body))  # head of line: no buffering
+            self.next_expected = seq + 1
+            return
+        if seq < self.next_expected or seq in pending:
+            return  # defensive: the owner map should have deduped
+        pending[seq] = body
+        nxt = self.next_expected
+        while nxt in pending:
+            out.append((nxt, pending.pop(nxt)))
+            nxt += 1
+        self.next_expected = nxt
 
     @property
     def held(self) -> int:
@@ -229,6 +237,7 @@ class ProcessRegion:
             total = sum(inv)
             self._route_weights = [w / total for w in inv]
         self._wrr = [0.0] * n_workers
+        self._run_slot = self.slots[0]  # open while its outbox is not empty
         self._last_balance = 0.0
         self._senders: list[BlockingSocketSender | None] = (
             [None] * n_workers
@@ -350,7 +359,11 @@ class ProcessRegion:
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
-        self._route_and_send(seq, cost_seconds, body, replay=False)
+            placed, order = self._place_locked(seq, cost_seconds, body, False)
+        if not placed:
+            order = self._route_one(seq, cost_seconds, body)
+        if order is not None:
+            self._dispatch_entries(*order)
         return seq
 
     def drain(self, timeout: float | None = None) -> None:
@@ -572,22 +585,15 @@ class ProcessRegion:
                 sender.sock.close()
             except OSError:  # pragma: no cover
                 pass
-        if self._closing:
-            return
-        for seq, (cost, body) in entries:
-            self._route_and_send(seq, cost, body, replay=True)
-        # Replays re-batch through the survivors' outboxes; a trailing
-        # partial run must not wait for unrelated future traffic.
-        self._flush_outboxes()
+        if not self._closing:
+            self._replay([(seq, *entry) for seq, entry in entries])
 
     def on_slot_up(self, slot: WorkerSlot) -> None:
         """A (re)connected worker is serving: flush parked tuples."""
         with self._cv:
             parked, self._parked = self._parked, []
             self._cv.notify_all()
-        for seq, cost, body in sorted(parked):
-            self._route_and_send(seq, cost, body, replay=True)
-        self._flush_outboxes()
+        self._replay(sorted(parked))
 
     def on_slot_quarantined(self, slot: WorkerSlot) -> None:
         """The circuit breaker removed a slot: re-solve the weights."""
@@ -650,29 +656,79 @@ class ProcessRegion:
         self._wrr[best.index] -= total
         return best, None
 
-    def _route_and_send(
-        self, seq: int, cost: float, body: bytes, *, replay: bool
-    ) -> None:
-        """Route one tuple into its worker's run; flush when it is due."""
-        flush = self._route_one(seq, cost, body, replay=replay)
-        if flush is not None:
-            self._dispatch_entries(*flush)
+    def _place_locked(
+        self, seq: int, cost: float, body: bytes, replay: bool
+    ) -> tuple[bool, object]:
+        """Place one tuple (lock held): the one routing rule.
+
+        The tuple joins the open run while its slot serves and has window
+        room; otherwise the weighted choice opens the next run and closes
+        the previous one, so an outbox is always one contiguous run.
+        Returns ``(True, flush order or None)`` when placed, else
+        ``(False, blocked_on)``: the index of the weighted choice whose
+        window is full, or ``None`` when no slot serves. Replays are always placed: over a full window
+        (transiently up to 2x bounded), or parked when no slot serves.
+        """
+        if self._fatal is not None:
+            raise self._fatal
+        if self._closing and not replay:
+            raise RuntimeError("region is closing")
+        slot = self._run_slot
+        order = None
+        if not (
+            slot.outbox
+            and slot.state == UP
+            and self._senders[slot.index] is not None
+            and len(slot.unacked) < self.window
+        ):
+            self._maybe_rebalance_locked()
+            pick, blocked_on = self._pick_locked()
+            if pick is None:
+                if not replay:
+                    return False, blocked_on
+                if blocked_on is None:
+                    self._parked.append((seq, cost, body))
+                    return True, None
+                # Over-commit the window rather than block a failover.
+                pick = self.slots[blocked_on]
+            if pick is not slot and slot.outbox:
+                # Only at B > 1 can it hold tuples: the new run cannot
+                # also fill below.
+                order = (slot.index, slot.incarnation, slot.outbox)
+                slot.outbox = []
+            self._run_slot = slot = pick
+        slot.unacked[seq] = (cost, body)
+        self._owner[seq] = slot.index
+        slot.outbox.append((seq, cost, body))
+        if len(slot.outbox) >= self.batch_size:
+            order = (slot.index, slot.incarnation, slot.outbox)
+            slot.outbox = []
+        return True, order
+
+    def _replay(self, entries: list[tuple[int, float, bytes]]) -> None:
+        """Re-place tuples without blocking, then flush every outbox.
+
+        A trailing partial run must not wait for unrelated traffic.
+        """
+        with self._lock:
+            orders = [
+                self._place_locked(seq, cost, body, True)[1]
+                for seq, cost, body in entries
+            ]
+        for order in orders:
+            if order is not None:
+                self._dispatch_entries(*order)
+        self._flush_outboxes()
 
     def _route_one(
-        self, seq: int, cost: float, body: bytes, *, replay: bool
+        self, seq: int, cost: float, body: bytes
     ) -> tuple[int, int, list[tuple[int, float, bytes]]] | None:
-        """Pick a worker and buffer one tuple, blocking on backpressure.
+        """Place one tuple, blocking on backpressure until it is placed.
 
-        Returns a ``(index, incarnation, entries)`` flush order when the
-        chosen slot's run reached ``batch_size`` (always, at B=1), or
-        ``None`` when the tuple is parked or left buffered for a later
-        flush. Before the caller ever blocks waiting for window space,
-        every non-empty outbox is flushed — a buffered tuple cannot be
-        acked, so waiting on it without flushing would deadlock.
-
-        Replays never block: a full window is tolerated (transiently up
-        to 2x bounded) and a dead region parks the tuple for the next
-        slot-up instead of wedging a supervisor callback thread.
+        Returns the flush order of :meth:`_place_locked`. Before the
+        caller ever blocks waiting for window space, every non-empty
+        outbox is flushed — a buffered tuple cannot be acked, so waiting
+        on it without flushing would deadlock.
         """
         block_started: float | None = None
         block_slot: int | None = None
@@ -680,33 +736,14 @@ class ProcessRegion:
         while True:
             to_flush: list = []
             with self._cv:
-                if self._fatal is not None:
-                    raise self._fatal
-                if self._closing and not replay:
-                    raise RuntimeError("region is closing")
-                self._maybe_rebalance_locked()
-                slot, blocked_on = self._pick_locked()
-                if slot is None and replay:
-                    if blocked_on is not None:
-                        # Over-commit the window rather than block a
-                        # failover path.
-                        slot = self.slots[blocked_on]
-                    else:
-                        self._parked.append((seq, cost, body))
-                        return None
-                if slot is not None:
+                placed, detail = self._place_locked(seq, cost, body, False)
+                if placed:
                     if block_started is not None:
                         self._charge_block(
                             block_slot, time.monotonic() - block_started
                         )
-                        block_started = None
-                    slot.unacked[seq] = (cost, body)
-                    self._owner[seq] = slot.index
-                    slot.outbox.append((seq, cost, body))
-                    if len(slot.outbox) >= self.batch_size:
-                        entries, slot.outbox = slot.outbox, []
-                        return slot.index, slot.incarnation, entries
-                    return None
+                    return detail
+                blocked_on = detail
                 if blocked_on is not None:
                     if block_started is None or block_slot != blocked_on:
                         if block_started is not None:
@@ -784,8 +821,7 @@ class ProcessRegion:
                     self._owner.pop(seq)
                     self.slots[index].unacked.pop(seq, None)
                     stranded.append((seq, cost, body))
-        for seq, cost, body in stranded:
-            self._route_and_send(seq, cost, body, replay=True)
+        self._replay(stranded)
 
     def _send_batch(
         self, index: int, entries: list[tuple[int, float, bytes]]
@@ -980,46 +1016,48 @@ class ProcessRegion:
                 incarnation=incarnation,
             )
 
-    def _absorb_result_locked(
-        self, slot: WorkerSlot, seq: int, body: bytes
+    def _absorb_run_locked(
+        self, slot: WorkerSlot, entries: Sequence[tuple[int, float, bytes]]
     ) -> None:
-        """Dedup + credit + merge one result (region lock held)."""
-        owner = self._owner.pop(seq, None)
-        if owner is None:
-            self._duplicates += 1
-            return
-        self.slots[owner].unacked.pop(seq, None)
-        slot.results += 1
-        self._results += 1
-        for out_seq, out_body in self._reorderer.push(seq, body):
-            if self.sink is not None:
+        """Dedup (first result per seq wins), credit, merge (lock held)."""
+        owner_of = self._owner
+        push = self._reorderer.push
+        emitted: list[tuple[int, bytes]] = []
+        accepted = 0
+        for seq, _service, body in entries:
+            owner = owner_of.pop(seq, None)
+            if owner is None:
+                self._duplicates += 1
+                continue
+            self.slots[owner].unacked.pop(seq, None)
+            accepted += 1
+            push(seq, body, emitted)
+        slot.results += accepted
+        self._results += accepted
+        if self.sink is None:
+            self.outputs.extend(emitted)
+        else:
+            for out_seq, out_body in emitted:
                 self.sink(out_seq, out_body)
-            else:
-                self.outputs.append((out_seq, out_body))
 
     def _handle_message(
         self, slot: WorkerSlot, incarnation: int, message: framing.Message
     ) -> None:
-        if message.type == framing.MSG_RESULT:
-            seq, _service, body = message.result()
+        kind = message.type
+        if kind == framing.MSG_RESULT_BATCH or kind == framing.MSG_RESULT:
+            # A cumulative ack run (a single RESULT is a one-entry run):
+            # one lock acquisition, one wakeup, one liveness refresh.
+            entries = (
+                message.result_batch() if kind == framing.MSG_RESULT_BATCH
+                else (message.result(),)
+            )
             with self._cv:
-                self._absorb_result_locked(slot, seq, body)
+                self._absorb_run_locked(slot, entries)
                 self._cv.notify_all()
             self.supervisor.heartbeat(slot.index, incarnation)
-        elif message.type == framing.MSG_RESULT_BATCH:
-            # One cumulative ack run: one lock acquisition, one wakeup,
-            # one liveness refresh for the whole batch. A replayed batch
-            # overlapping already-acked seqs dedupes entry by entry —
-            # first result wins, the rest count as duplicates.
-            entries = message.result_batch()
-            with self._cv:
-                for seq, _service, body in entries:
-                    self._absorb_result_locked(slot, seq, body)
-                self._cv.notify_all()
-            self.supervisor.heartbeat(slot.index, incarnation)
-        elif message.type == framing.MSG_HEARTBEAT:
+        elif kind == framing.MSG_HEARTBEAT:
             _processed, beat_incarnation = message.heartbeat()
             self.supervisor.heartbeat(slot.index, beat_incarnation)
-        elif message.type == framing.MSG_BYE:
+        elif kind == framing.MSG_BYE:
             self.supervisor.heartbeat(slot.index, incarnation)
         # HELLO/DATA/CONTROL/EOS are parent->worker or handled at admit.

@@ -1,6 +1,7 @@
 """Tests for running ExperimentConfigs on the multi-process backend."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,6 +141,52 @@ class TestExecution:
         assert result.completed
         assert result.emitted == 120
         assert result.worker_restarts >= 1
+
+    def test_workers_connect_before_the_clock_and_the_faults_start(
+        self, monkeypatch
+    ):
+        # Spawn stays out of wall_seconds, and a kill can only land on a
+        # worker that is already connected and holding tuples.
+        import time
+
+        from repro.experiments import process_backend
+        from repro.proc.faults import RealFaultDriver
+        from repro.proc.region import ProcessRegion
+
+        log = []
+        wait_ready = ProcessRegion.wait_ready
+        start_faults = RealFaultDriver.start
+
+        def logged_wait_ready(region, timeout=None):
+            wait_ready(region, timeout)
+            log.append("ready")
+            return region
+
+        def logged_start_faults(driver):
+            log.append("faults")
+            return start_faults(driver)
+
+        def logged_clock():
+            log.append("clock")
+            return time.perf_counter()
+
+        monkeypatch.setattr(ProcessRegion, "wait_ready", logged_wait_ready)
+        monkeypatch.setattr(RealFaultDriver, "start", logged_start_faults)
+        monkeypatch.setattr(
+            process_backend, "time", SimpleNamespace(perf_counter=logged_clock)
+        )
+        config = process_scenario(
+            n_workers=2,
+            total_tuples=60,
+            tuple_cost_seconds=0.0005,
+            crash_worker=1,
+            crash_at_emitted=20,
+        )
+        result = run_process_experiment(
+            config, "rr", supervisor_config=FAST, timeout=60.0
+        )
+        assert result.completed
+        assert log == ["ready", "clock", "faults", "clock"]
 
     def test_summary_mentions_restarts(self):
         config = process_scenario(

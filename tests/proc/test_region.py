@@ -300,6 +300,82 @@ class TestBatchedWire:
         assert stats.mean_batch_occupancy > 1.5
         assert stats.wire_frames_received < n
 
+    def test_runs_are_contiguous_and_follow_the_weights(self):
+        # One weighted choice per run: every flushed DATA_BATCH is one
+        # contiguous seq range, and the split is within one run of the
+        # weights. The window never binds here, because a full window
+        # cuts a run short and shifts load off that slot by design.
+        n, batch = 640, 16
+        region = ProcessRegion(
+            2,
+            supervisor_config=FAST,
+            window=n,
+            batch_size=batch,
+            initial_weights=[3, 1],
+        )
+        flushed = []
+        send_batch = region._send_batch
+
+        def spy(index, entries):
+            flushed.append([seq for seq, _, _ in entries])
+            return send_batch(index, entries)
+
+        region._send_batch = spy
+        stats, outputs = run_region(region, [0.0] * n)
+        expect_ordered(outputs, n)
+        assert sorted(seq for run in flushed for seq in run) == list(range(n))
+        for run in flushed:
+            assert run == list(range(run[0], run[0] + len(run)))
+        assert abs(stats.per_worker_results[0] - 3 * n // 4) <= batch
+        assert abs(stats.per_worker_results[1] - n // 4) <= batch
+
+    def test_concurrent_submitters_keep_runs_contiguous(self):
+        # Each submit assigns its seq and places the tuple under one
+        # region-lock acquisition, so even racing submitters (more
+        # threads than cores, a tiny switch interval) never interleave
+        # seqs inside a run while no window binds.
+        import sys
+        import threading
+
+        threads, per_thread = 4, 150
+        n = threads * per_thread
+        region = ProcessRegion(
+            3, supervisor_config=FAST, window=n, batch_size=8
+        )
+        flushed = []
+        send_batch = region._send_batch
+
+        def spy(index, entries):
+            flushed.append([seq for seq, _, _ in entries])
+            return send_batch(index, entries)
+
+        region._send_batch = spy
+
+        def submit_all():
+            for _ in range(per_thread):
+                region.submit(0.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            region.start().wait_ready(timeout=30.0)
+            pool = [
+                threading.Thread(target=submit_all) for _ in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in pool)
+            region.drain(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            region.close()
+        expect_ordered(region.outputs, n)
+        assert region.stats().duplicates_dropped == 0
+        for run in flushed:
+            assert run == list(range(run[0], run[0] + len(run)))
+
     def test_batch_size_one_keeps_per_tuple_wire(self):
         region = ProcessRegion(
             2, supervisor_config=FAST, window=16, batch_size=1
