@@ -100,10 +100,12 @@ class WorkerMain:
         if self.mode == "sleep":
             time.sleep(duration)
             return duration
-        # Spin: burn the CPU so N workers genuinely occupy N cores.
-        deadline = time.perf_counter() + duration
+        # Spin: burn the CPU so N workers genuinely occupy N cores. The
+        # deadline is in thread CPU time, so time spent preempted is not
+        # counted as service.
+        deadline = time.thread_time() + duration
         x = 1
-        while time.perf_counter() < deadline:
+        while time.thread_time() < deadline:
             x = (x * 1103515245 + 12345) & 0x7FFFFFFF
         return duration
 

@@ -486,9 +486,6 @@ class OrderedMerger:
         self.last_emit_time = now
         borns = block.borns
         if borns is not None:
-            # .tolist() yields plain Python floats on both column
-            # backends, so the accumulation is bit-identical with and
-            # without numpy.
             total = 0.0
             for born in borns.tolist():
                 total += now - born

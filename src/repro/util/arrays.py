@@ -1,41 +1,17 @@
-"""Optional numpy acceleration with a guaranteed pure-python fallback.
+"""Numeric column backend: stdlib only.
 
-numpy is an optional ``[perf]`` extra, never a hard dependency: every
-vectorized code path in the repository goes through this module's
-``numpy`` binding and provides a stdlib fallback (``array``/list based)
-that produces **bit-identical** results. The CI matrix runs the tier-1
-suite with numpy absent so the fallback path cannot rot, and the
-equality unit tests drive both implementations side by side.
+Every numeric column in the package (``TupleBlock`` costs and birth
+times) is a stdlib ``array('d')``, and every reduction accumulates left
+to right in plain Python floats, so results are bit-identical on every
+machine. The control plane's inputs are small (1001-point rate tables,
+a handful of PAVA points, at most 64 connections), so a vectorized
+backend costs about as much in conversion as it saves.
 
-Set ``REPRO_NO_NUMPY=1`` to force the fallback even when numpy is
-installed — exactly how a numpy-present machine verifies the
-numpy-absent behavior (and how the equality tests get both paths in one
-process: the vectorized variants take the module binding as an argument
-or are importable directly).
-
-Determinism contract for vectorized variants:
-
-* never use pairwise-summing reductions (``numpy.sum``) where the
-  fallback accumulates left to right — convert with ``.tolist()`` and
-  use the builtin ``sum`` so both paths add identical doubles in an
-  identical order;
-* elementwise expressions must mirror the scalar arithmetic literally
-  (e.g. ``y0 + dy * arange(n) / dx`` is IEEE-identical, element by
-  element, to ``y0 + dy * (w - x0) / dx``);
-* tie-breaking sorts must be stable with explicit secondary keys.
+``HAVE_NUMPY`` stays, always ``False``, for tools that record which
+backend produced a measurement.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("REPRO_NO_NUMPY"):
-    numpy = None
-else:
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        numpy = None
-
-#: Whether the vectorized code paths are available in this process.
-HAVE_NUMPY = numpy is not None
+#: Whether a vectorized column backend is in use: always ``False``.
+HAVE_NUMPY = False

@@ -1,5 +1,7 @@
 """Unit tests for pool-adjacent-violators monotone regression."""
 
+import random
+
 import pytest
 
 from repro.core.monotone import is_non_decreasing, monotone_regression
@@ -28,6 +30,17 @@ class TestBasics:
         values = [3.0, 1.0]
         monotone_regression(values)
         assert values == [3.0, 1.0]
+
+    def test_pava_monotone_precheck_is_identity(self):
+        # Already-sorted input is its own isotonic regression, so the
+        # precheck must hand back exactly the input values — the same
+        # thing the block-merge loop would produce.
+        rng = random.Random(99)
+        for _ in range(50):
+            n = rng.randint(1, 150)
+            values = sorted(rng.random() * 10 for _ in range(n))
+            weights = [float(rng.randint(1, 5)) for _ in range(n)]
+            assert monotone_regression(values, weights) == values
 
 
 class TestWeights:

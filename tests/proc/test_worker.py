@@ -8,6 +8,7 @@ a helper thread.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -165,6 +166,14 @@ class TestWorkerLoop:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             WorkerMain("127.0.0.1", 1, 0, 0, mode="warp")
+
+    def test_spin_service_burns_thread_cpu_time(self):
+        # Spin service is work, not elapsed time: a preempted worker
+        # must keep spinning until it has used the full cost in CPU.
+        worker = WorkerMain("127.0.0.1", 1, 0, 0, mode="spin")
+        before = time.thread_time()
+        assert worker._service(0.05) == 0.05
+        assert time.thread_time() - before >= 0.05
 
     def test_connect_socket_has_nodelay(self):
         parent = ParentStub()

@@ -1,10 +1,13 @@
 """Unit tests for the ordered merger (sequential semantics)."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.streams.merger import OrderedMerger, SequenceError, UnorderedMerger
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, TupleBlock
 
 
 def tup(seq):
@@ -115,3 +118,36 @@ class TestCompletion:
     def test_target_must_be_positive(self):
         with pytest.raises(ValueError):
             OrderedMerger(Simulator()).on_completion(0, lambda: None)
+
+
+class TestRunLatency:
+    def test_out_of_order_runs_sum_latency_left_to_right(self):
+        # Runs arrive out of order, so both the in-order fast path and the
+        # parked-run drain accumulate ``array('d')`` borns. Each run sums
+        # ``now - born`` left to right and then adds its total, so the
+        # result must equal that hand-computed sum to the last bit.
+        rng = random.Random(5)
+        borns = [rng.random() for _ in range(64)]
+        sim = Simulator()
+        merger = OrderedMerger(sim)
+        blocks = []
+        for start in range(0, 64, 16):
+            block = TupleBlock.uniform(start, 16, 100.0)
+            block.borns = array("d", borns[start : start + 16])
+            blocks.append(block)
+        sim.call_at(1.0, lambda: merger.accept_runs(1, [blocks[1]]))
+        sim.call_at(1.0, lambda: merger.accept_runs(0, [blocks[0]]))
+        sim.call_at(2.0, lambda: merger.accept_runs(1, [blocks[3]]))
+        sim.call_at(2.0, lambda: merger.accept_runs(0, [blocks[2]]))
+        sim.run_until(3.0)
+
+        expected = 0.0
+        for index, now in enumerate((1.0, 1.0, 2.0, 2.0)):
+            total = 0.0
+            for born in borns[16 * index : 16 * index + 16]:
+                total += now - born
+            expected += total
+        assert merger.emitted == 64
+        assert merger.next_seq == 64
+        assert merger.latency_count == 64
+        assert merger.latency_seconds == expected

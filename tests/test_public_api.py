@@ -1,5 +1,9 @@
 """Guard rails on the package's public surface."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -40,3 +44,26 @@ class TestPublicApi:
             if name == "__version__":
                 continue
             assert not isinstance(getattr(repro, name), types.ModuleType), name
+
+
+class TestImportFootprint:
+    def test_runtime_modules_do_not_import_numpy(self):
+        # The experiment runner and the process region are the entry
+        # points of both backends; neither may pull numpy in, which would
+        # cost every run and every spawned worker its import time and RSS.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys\n"
+            "import repro.experiments.runner\n"
+            "import repro.proc.region\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
